@@ -46,7 +46,7 @@ def test_batching_smoke(report):
     compiled = compile_pi(
         seed=12,
         batch_size=BATCH_SIZE,
-        optimize_passes=PASS_ORDER + ("fuse", "donate", "codegen", "batch"),
+        optimize_passes=PASS_ORDER + ("fuse", "donate"),
     )
     graph, registry = compiled.graph, compiled.registry
     args = (N_BATCHES,)

@@ -11,11 +11,9 @@ production-ish size:
 * sequential, fused — the operator-fusion + fast-path configuration;
 * sequential, fused + donated — the zero-copy memory path (last-use
   donation + buffer pooling), which must avoid copies without changing a
-  bit of the result;
-* sequential, fused + donated + codegen — the recipes lowered to
-  generated specialized Python; the configuration that must push the
-  master-overhead fraction below the 0.10 target;
-* ProcessExecutor at 1/2/4 workers on the fused+donated+codegen graph,
+  bit of the result, and must keep the master-overhead fraction below
+  the 0.10 target;
+* ProcessExecutor at 1/2/4 workers on the fused+donated graph,
   with the dispatch policy calibrated from measured per-operator wall
   costs (:func:`repro.machine.calibrate_dispatch_cached`, served from
   the persisted per-machine table when one exists) so sub-IPC-cost
@@ -123,10 +121,9 @@ PR2_SEQUENTIAL_SECONDS = 0.3596
 #: retina; the zero-copy path must land strictly below it.
 PR3_OVERHEAD_FRACTION = 0.211
 
-#: The codegen PR's target: with the fused recipes lowered to generated
-#: Python, the master-overhead share of the instrumented wall clock must
-#: land strictly below one tenth.
-CODEGEN_OVERHEAD_TARGET = 0.10
+#: The fused+donated configuration's target: the master-overhead share of
+#: the instrumented wall clock must land strictly below one tenth.
+OVERHEAD_TARGET = 0.10
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_wallclock.json"
 
@@ -144,11 +141,6 @@ def compiled_fused():
 @pytest.fixture(scope="module")
 def compiled_donated():
     return compile_retina(2, CONFIG, fuse=True, donate=True)
-
-
-@pytest.fixture(scope="module")
-def compiled_codegen():
-    return compile_retina(2, CONFIG, fuse=True, donate=True, codegen=True)
 
 
 def _best_of(fn, repeats=REPEATS):
@@ -262,25 +254,17 @@ def _policy_entry(calibration, extra_dispatch=()):
 
 
 def test_wallclock_speedup(
-    compiled, compiled_fused, compiled_donated, compiled_codegen,
-    report, bench_json,
+    compiled, compiled_fused, compiled_donated, report, bench_json,
 ):
     unfused_entry, unfused_result = _sequential_entry(compiled)
     fused_entry, fused_result = _sequential_entry(compiled_fused)
     donated_entry, donated_result = _sequential_entry(compiled_donated)
-    codegen_entry, codegen_result = _sequential_entry(compiled_codegen)
-    codegen_entry["codegen_pass_seconds"] = (
-        compiled_codegen.pass_seconds.get("codegen", 0.0)
-    )
     reference = unfused_result.value.signature()
     assert fused_result.value.signature() == reference, (
         "fused sequential run diverged from unfused"
     )
     assert donated_result.value.signature() == reference, (
         "fused+donated sequential run diverged from unfused"
-    )
-    assert codegen_result.value.signature() == reference, (
-        "codegen sequential run diverged from unfused (interpreted)"
     )
     assert fused_entry["tasks_fired"] < unfused_entry["tasks_fired"], (
         "fusion must fire strictly fewer engine tasks"
@@ -313,7 +297,6 @@ def test_wallclock_speedup(
         phase_row("sequential unfused", unfused_entry),
         phase_row("sequential fused", fused_entry),
         phase_row("fused + donated", donated_entry),
-        phase_row("donated + codegen", codegen_entry),
     ]
     entry = {
         "workload": {
@@ -327,19 +310,18 @@ def test_wallclock_speedup(
         "repeats": REPEATS,
         "baseline_pr2_sequential_seconds": PR2_SEQUENTIAL_SECONDS,
         "baseline_pr3_overhead_fraction": PR3_OVERHEAD_FRACTION,
-        "codegen_overhead_target": CODEGEN_OVERHEAD_TARGET,
-        "sequential_seconds": codegen_entry["seconds"],
+        "overhead_target": OVERHEAD_TARGET,
+        "sequential_seconds": donated_entry["seconds"],
         "unfused": unfused_entry,
         "fused": fused_entry,
         "donated": donated_entry,
-        "codegen": codegen_entry,
         "process": {},
     }
 
-    graph, registry = compiled_codegen.graph, compiled_codegen.registry
+    graph, registry = compiled_donated.graph, compiled_donated.registry
     calibration = calibrate_dispatch_cached(graph, registry)
     entry["process"]["policy"] = _policy_entry(calibration)
-    codegen_seconds = codegen_entry["seconds"]
+    donated_seconds = donated_entry["seconds"]
     for workers in WORKER_COUNTS:
         seconds, result = _best_of(
             lambda w=workers: ProcessExecutor(
@@ -349,7 +331,7 @@ def test_wallclock_speedup(
         assert result.value.signature() == reference, (
             f"ProcessExecutor({workers}) diverged from sequential"
         )
-        speedup = codegen_seconds / seconds
+        speedup = donated_seconds / seconds
         entry["process"][str(workers)] = {
             "seconds": seconds,
             "speedup": speedup,
@@ -386,18 +368,17 @@ def test_wallclock_speedup(
 
     _record("retina_wallclock", entry)
     bench_json("retina_wallclock", entry)
-    gain = 1.0 - codegen_seconds / PR2_SEQUENTIAL_SECONDS
-    donated_fraction = donated_entry["phase"]["master_overhead_fraction"]
-    fraction = codegen_entry["phase"]["master_overhead_fraction"]
+    gain = 1.0 - donated_seconds / PR2_SEQUENTIAL_SECONDS
+    fraction = donated_entry["phase"]["master_overhead_fraction"]
     rows.append("")
     rows.append(
-        f"donated+codegen sequential vs PR 2 baseline "
+        f"fused+donated sequential vs PR 2 baseline "
         f"({PR2_SEQUENTIAL_SECONDS:.4f}s): {gain:+.1%}"
     )
     rows.append(
-        f"master overhead fraction: {donated_fraction:.4f} interpreted, "
-        f"{fraction:.4f} codegen (PR 3 committed: {PR3_OVERHEAD_FRACTION}, "
-        f"codegen target: {CODEGEN_OVERHEAD_TARGET})"
+        f"master overhead fraction: {fraction:.4f} fused+donated "
+        f"(PR 3 committed: {PR3_OVERHEAD_FRACTION}, "
+        f"target: {OVERHEAD_TARGET})"
     )
     rows.append(
         f"dispatch policy: {len(calibration.keep_local)} operator(s) "
@@ -405,20 +386,20 @@ def test_wallclock_speedup(
     )
     rows.append(f"wrote {RESULT_PATH.name} (bit-identical across executors)")
     report(
-        "Wall-clock — retina, unfused/fused/donated/codegen", "\n".join(rows)
+        "Wall-clock — retina, unfused/fused/donated", "\n".join(rows)
     )
 
-    assert codegen_seconds <= 0.8 * PR2_SEQUENTIAL_SECONDS, (
-        f"donated+codegen sequential must improve >= 20% on the PR 2 "
-        f"baseline ({PR2_SEQUENTIAL_SECONDS}s); got {codegen_seconds:.4f}s"
+    assert donated_seconds <= 0.8 * PR2_SEQUENTIAL_SECONDS, (
+        f"fused+donated sequential must improve >= 20% on the PR 2 "
+        f"baseline ({PR2_SEQUENTIAL_SECONDS}s); got {donated_seconds:.4f}s"
     )
-    assert donated_fraction < PR3_OVERHEAD_FRACTION, (
-        f"interpreted master overhead fraction must land strictly below "
-        f"the PR 3 record ({PR3_OVERHEAD_FRACTION}); got {donated_fraction:.4f}"
+    assert fraction < PR3_OVERHEAD_FRACTION, (
+        f"fused+donated master overhead fraction must land strictly below "
+        f"the PR 3 record ({PR3_OVERHEAD_FRACTION}); got {fraction:.4f}"
     )
-    assert fraction < CODEGEN_OVERHEAD_TARGET, (
-        f"codegen master overhead fraction must land strictly below "
-        f"{CODEGEN_OVERHEAD_TARGET}; got {fraction:.4f}"
+    assert fraction < OVERHEAD_TARGET, (
+        f"fused+donated master overhead fraction must land strictly below "
+        f"{OVERHEAD_TARGET}; got {fraction:.4f}"
     )
     assert critpath.reconciliation_error <= RECONCILIATION_TOLERANCE, (
         f"critical-path attribution must reconcile with wallclock within "

@@ -31,8 +31,6 @@ from ..runtime.operators import OperatorRegistry, default_registry
 from .analysis import analyze_program
 from .graphgen import generate_graphs
 from .lowering import lower_program
-from .passes import batch as batch_pass
-from .passes import codegen as codegen_pass
 from .passes import donate as donate_pass
 from .passes import fuse as fuse_pass
 from .passes.pipeline import (
@@ -101,14 +99,11 @@ def compile_source(
         Which optimizations to run (``None`` or ``()`` disables all —
         useful for ablations and for differential testing of the passes).
         ``"fuse"`` enables the graph-level operator-fusion pass,
-        ``"donate"`` the last-use donation analysis, ``"codegen"`` the
-        lowering of fused recipes to generated specialized Python, and
-        ``"batch"`` the batch-binder extension of those generated
-        sources; all run after template generation (donate after fuse,
-        codegen next, batch last) and are *not* in the default set so
-        default compilations keep their historical graph shapes (the CLI
-        enables them by default via ``--fuse`` / ``--donate`` /
-        ``--codegen`` / ``--batch``).
+        and ``"donate"`` the last-use donation analysis; both run after
+        template generation (donate after fuse) and are *not* in the
+        default set so default compilations keep their historical graph
+        shapes (the CLI enables them by default via ``--fuse`` /
+        ``--donate``).
     strict:
         Enforce unbound-name errors during environment analysis.
     entry:
@@ -180,27 +175,6 @@ def compile_source(
         else:
             report.enabled = report.enabled + ("donate",)
         for key, count in donate_stats.items():
-            report.stats[key] = report.stats.get(key, 0) + count
-    if "codegen" in graph_passes:
-        # Lowers whatever set of fused recipes the earlier graph passes
-        # left behind to specialized generated source.
-        codegen_stats = codegen_pass.run(graph, registry)
-        if report is None:
-            report = OptimizationReport(enabled=("codegen",))
-        else:
-            report.enabled = report.enabled + ("codegen",)
-        for key, count in codegen_stats.items():
-            report.stats[key] = report.stats.get(key, 0) + count
-    if "batch" in graph_passes:
-        # After codegen: appends the batch binder to its generated
-        # sources so batched executors get a vectorized form for fused
-        # chains too.  No-op when codegen never ran.
-        batch_stats = batch_pass.run(graph, registry)
-        if report is None:
-            report = OptimizationReport(enabled=("batch",))
-        else:
-            report.enabled = report.enabled + ("batch",)
-        for key, count in batch_stats.items():
             report.stats[key] = report.stats.get(key, 0) + count
     seconds["Graph Conversion"] = time.perf_counter() - t0 + lowering_seconds
 

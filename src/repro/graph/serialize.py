@@ -85,12 +85,6 @@ def _encode_node(node: Node) -> dict:
         # Emitted only when non-empty so graphs compiled without the
         # donation pass serialize bit-for-bit as before.
         out["donated"] = list(node.donated)
-    if node.codegen is not None:
-        # Same discipline: source text only when the codegen pass ran, so
-        # --no-codegen compilations serve byte-identical dumps to builds
-        # that predate the pass.  The bound callable never serializes;
-        # loaders re-bind from this source against their own registry.
-        out["codegen"] = node.codegen
     if node.tail:
         out["tail"] = True
     if node.label:
@@ -99,6 +93,8 @@ def _encode_node(node: Node) -> dict:
 
 
 def _decode_node(data: dict) -> Node:
+    # Keys this version does not know are ignored, never interpreted: a
+    # loaded graph is data only, whatever an older writer put beside it.
     node = Node(
         kind=NodeKind(data["kind"]),
         inputs=[Port(int(n), int(o)) for n, o in data.get("inputs", [])],
@@ -126,9 +122,6 @@ def _decode_node(data: dict) -> Node:
     donated = data.get("donated")
     if donated:
         node.donated = tuple(int(i) for i in donated)
-    codegen = data.get("codegen")
-    if codegen is not None:
-        node.codegen = str(codegen)
     return node
 
 

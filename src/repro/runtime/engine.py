@@ -574,7 +574,7 @@ class ExecutionState:
         order, same error texts, same wrap/deliver/release discipline —
         minus the :class:`PendingOp` suspension a synchronous firing never
         needs.  ``OpStarted``/``OpFinished`` bracket only the operator
-        body, so generated codegen frames attribute to ``operator_body``
+        body, so fused-chain frames attribute to ``operator_body``
         in the critical-path profile, keeping the reconciliation bound.
         """
         node_id = task.node_id

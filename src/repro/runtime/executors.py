@@ -48,7 +48,6 @@ from .engine import EngineStats, ExecutionState, PendingOp
 from .operators import (
     OperatorRegistry,
     batch_call,
-    collect_codegen_sources,
     collect_fused_chains,
     default_registry,
 )
@@ -855,7 +854,7 @@ class ProcessExecutor:
     persistent:
         Keep the worker pool alive across :meth:`run` calls (streaming
         and server-style use: repeated runs of the *same* program and
-        registry skip pool startup and registry/fused-chain/codegen
+        registry skip pool startup and registry/fused-chain
         shipping).  The pool is rebuilt automatically when a different
         program or registry arrives, and torn down by :meth:`close`.
         Worker block caches persist across runs too; that is safe
@@ -948,7 +947,6 @@ class ProcessExecutor:
             shm_threshold=self.shm_threshold,
             fused_chains=collect_fused_chains(program),
             fault_spec=self.fault_spec,
-            codegen_sources=collect_codegen_sources(program),
         )
 
     def run(

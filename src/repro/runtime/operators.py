@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import operator as _pyop
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
 from ..errors import DeliriumError, RuntimeFailure, UnknownOperatorError
@@ -438,114 +438,6 @@ def batch_call(
     return results
 
 
-#: Name of the factory every generated codegen source must define.  The
-#: codegen pass emits sources shaped ``def _delirium_bind(_f0, ...): ...``;
-#: each process compiles the text and calls the binder with the member
-#: operator functions from its *own* registry (closure cells, so calls in
-#: the generated body are plain ``LOAD_DEREF`` + ``CALL``).
-CODEGEN_BINDER_NAME = "_delirium_bind"
-
-#: Name of the *batch* factory the ``batch`` lowering pass appends to
-#: generated codegen sources: ``def _delirium_bind_batch(_f0, ...)``
-#: returns a callable with the :attr:`OperatorSpec.batch_fn` signature
-#: (list of argument tuples in, list of results out) that loops the
-#: specialized fused body inside one generated frame.  Optional — plain
-#: codegen sources simply have no batch binder and the chain stays
-#: unbatchable at the vectorized level.
-BATCH_BINDER_NAME = "_delirium_bind_batch"
-
-
-#: Sticky flag: a failed ``import numba`` walks ``sys.path`` every time,
-#: which is far too slow to repeat once per binding.
-_NUMBA_ABSENT = False
-
-#: Compiled code objects by source text.  Generated sources are pure
-#: functions of the recipe, so the text is a safe process-wide key; the
-#: (cheap) ``exec`` + bind still runs per registry.
-_CODE_CACHE: dict[str, Any] = {}
-
-
-def _maybe_jit(fn: Callable[..., Any], member_fns: list) -> Callable[..., Any]:
-    """Optional numba tier: jit the generated body when every member is
-    already a numba dispatcher (``pip install delirium[jit]``).  Absent
-    numba, non-dispatcher members, or a failed compile all fall back to
-    the plain Python function silently — results are identical either way.
-    """
-    global _NUMBA_ABSENT
-    if _NUMBA_ABSENT:
-        return fn
-    try:
-        import numba
-    except Exception:
-        _NUMBA_ABSENT = True
-        return fn
-    try:
-        dispatcher = numba.core.dispatcher.Dispatcher
-        if not member_fns or not all(isinstance(m, dispatcher) for m in member_fns):
-            return fn
-        return numba.njit(fn)
-    except Exception:
-        return fn
-
-
-def bind_codegen(
-    source: str,
-    steps: tuple[tuple[str, tuple[tuple[str, int], ...]], ...],
-    registry: OperatorRegistry,
-    name: str = "<fused>",
-    jit: bool = True,
-) -> Callable[..., Any]:
-    """Compile generated codegen ``source`` and bind it against ``registry``.
-
-    Returns the specialized callable for the chain.  Binding always uses
-    the *calling* process's registry — a serialized graph only ships the
-    source text, and a substituted registry (tests, workers) must win over
-    whatever was present at compile time.
-    """
-    namespace: dict[str, Any] = {}
-    code = _CODE_CACHE.get(source)
-    if code is None:
-        code = _CODE_CACHE[source] = compile(
-            source, f"<delirium-codegen {name}>", "exec"
-        )
-    exec(code, namespace)
-    member_fns = [registry.get(op_name).fn for op_name, _ in steps]
-    fn = namespace[CODEGEN_BINDER_NAME](*member_fns)
-    if jit and len(steps) > 1:
-        fn = _maybe_jit(fn, member_fns)
-    return fn
-
-
-def bind_codegen_batch(
-    source: str,
-    steps: tuple[tuple[str, tuple[tuple[str, int], ...]], ...],
-    registry: OperatorRegistry,
-    name: str = "<fused>",
-) -> Callable[[list[tuple[Any, ...]]], Any] | None:
-    """Bind the batch binder of a generated source, when it has one.
-
-    Returns a ``batch_fn``-shaped callable for chains the ``batch``
-    lowering pass extended with :data:`BATCH_BINDER_NAME`, or ``None``
-    for plain codegen sources (the chain then falls back to
-    :func:`batch_call`'s loop when batched).  Shares the compiled-code
-    cache with :func:`bind_codegen` — the source text is the key.
-    """
-    if BATCH_BINDER_NAME not in source:
-        return None
-    namespace: dict[str, Any] = {}
-    code = _CODE_CACHE.get(source)
-    if code is None:
-        code = _CODE_CACHE[source] = compile(
-            source, f"<delirium-codegen {name}>", "exec"
-        )
-    exec(code, namespace)
-    binder = namespace.get(BATCH_BINDER_NAME)
-    if binder is None:  # pragma: no cover - name mentioned in a comment
-        return None
-    member_fns = [registry.get(op_name).fn for op_name, _ in steps]
-    return binder(*member_fns)
-
-
 def node_spec(
     registry: OperatorRegistry,
     node: Any,
@@ -554,10 +446,7 @@ def node_spec(
     """Resolve the spec for an ``OP`` node, composing fused bodies.
 
     ``cache`` (name -> spec) amortizes composition; fused names encode
-    their full recipe, so a name is a safe cache key.  A node lowered by
-    the codegen pass re-binds its generated source here instead of using
-    the interpreted replay — metadata (cost, purity, arity) is identical,
-    so dispatch decisions don't change, only the call body does.
+    their full recipe, so a name is a safe cache key.
     """
     fused = node.fused
     if fused is None:
@@ -567,15 +456,6 @@ def node_spec(
         if spec is not None:
             return spec
     spec = compose_fused(node.name, fused[0], fused[1], registry)
-    codegen = getattr(node, "codegen", None)
-    if codegen is not None:
-        spec = replace(
-            spec,
-            fn=bind_codegen(codegen, fused[0], registry, name=node.name),
-            batch_fn=bind_codegen_batch(
-                codegen, fused[0], registry, name=node.name
-            ),
-        )
     if cache is not None:
         cache[node.name] = spec
     return spec
@@ -594,22 +474,6 @@ def collect_fused_chains(program: Any) -> dict[str, FusedChain]:
             if node.fused is not None:
                 chains[node.name] = node.fused
     return chains
-
-
-def collect_codegen_sources(program: Any) -> dict[str, str]:
-    """Generated codegen source per fused node name, for shipping.
-
-    Mirrors :func:`collect_fused_chains`: plain picklable strings that a
-    worker process ``exec``\\ s and binds against its own registry.  Empty
-    when the codegen pass didn't run.
-    """
-    sources: dict[str, str] = {}
-    for template in program.templates.values():
-        for node in template.nodes:
-            codegen = getattr(node, "codegen", None)
-            if node.fused is not None and codegen is not None:
-                sources[node.name] = codegen
-    return sources
 
 
 def unwrap_multivalue(value: Any) -> Any:

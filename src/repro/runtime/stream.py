@@ -56,7 +56,6 @@ from ..obs.events import CheckpointWritten, EventBus, RunResumed
 from .checkpoint import (
     Checkpoint,
     CheckpointCadence,
-    CheckpointError,
     program_fingerprint,
     read_checkpoint,
     registry_fingerprint,

@@ -47,7 +47,7 @@ import signal
 import time
 import traceback
 import weakref
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 from multiprocessing import get_all_start_methods, get_context
 from multiprocessing import resource_tracker, shared_memory
 from typing import Any
@@ -62,8 +62,6 @@ from .blocks import payload_nbytes, wraps_as_block
 from .operators import (
     FusedChain,
     OperatorRegistry,
-    bind_codegen,
-    bind_codegen_batch,
     compose_fused,
     default_registry,
 )
@@ -650,7 +648,6 @@ def worker_main(
     fused_chains: dict[str, FusedChain] | None = None,
     fault_spec: Any = None,
     fault_salt: int = 0,
-    codegen_sources: dict[str, str] | None = None,
     cache_bytes: int = CACHE_BYTES_DEFAULT,
 ) -> None:
     """Body of one worker process: batches in, batches out, until None.
@@ -698,12 +695,7 @@ def worker_main(
     ``fused_chains`` maps fused super-node names to their recipes (plain
     picklable data); the worker composes each chain against its own
     registry on first use, so a dispatched fused body runs exactly like a
-    registered operator.  ``codegen_sources`` (fused name → generated
-    binder source, from :func:`~repro.runtime.operators.
-    collect_codegen_sources`) upgrades those compositions: the worker
-    compiles the shipped source and binds it against its *own* registry,
-    so a dispatched fused body runs the same specialized code the master
-    would — source text crosses the process boundary, never code objects.
+    registered operator.
 
     ``fault_spec`` (a picklable :class:`repro.faults.FaultSpec`) installs
     deterministic fault injection: the per-process injector is consulted
@@ -721,7 +713,6 @@ def worker_main(
     else:
         registry = default_registry()
     fused_chains = fused_chains or {}
-    codegen_sources = codegen_sources or {}
     fused_specs: dict[str, Any] = {}
     injector = fault_spec.build(fault_salt) if fault_spec is not None else None
     cache = BlockCache(cache_bytes)
@@ -766,17 +757,6 @@ def worker_main(
             chain = fused_chains.get(op_name)
             if chain is not None:
                 spec = compose_fused(op_name, chain[0], chain[1], registry)
-                source = codegen_sources.get(op_name)
-                if source is not None:
-                    spec = dc_replace(
-                        spec,
-                        fn=bind_codegen(
-                            source, chain[0], registry, name=op_name
-                        ),
-                        batch_fn=bind_codegen_batch(
-                            source, chain[0], registry, name=op_name
-                        ),
-                    )
                 fused_specs[op_name] = spec
             else:
                 spec = registry.get(op_name)
@@ -960,7 +940,6 @@ class WorkerPool:
         shm_threshold: int = SHM_THRESHOLD_DEFAULT,
         fused_chains: dict[str, FusedChain] | None = None,
         fault_spec: Any = None,
-        codegen_sources: dict[str, str] | None = None,
         cache_bytes: int = CACHE_BYTES_DEFAULT,
     ) -> None:
         if n_workers < 1:
@@ -989,7 +968,6 @@ class WorkerPool:
         self._registry = registry
         self._fused_chains = fused_chains
         self._fault_spec = fault_spec
-        self._codegen_sources = codegen_sources
         #: Total workers replaced over the pool's lifetime.
         self.respawns = 0
         self.processes: list[Any] = [None] * n_workers
@@ -1013,7 +991,6 @@ class WorkerPool:
                     self._fused_chains,
                     self._fault_spec,
                     fault_salt,
-                    self._codegen_sources,
                     self.cache_bytes,
                 ),
                 daemon=True,

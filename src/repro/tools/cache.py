@@ -19,10 +19,9 @@ The active pass set is part of the key, and the CLI encodes ``--fuse`` as
 the extra pass name ``"fuse"`` in that tuple — so fused and unfused
 compilations of identical source occupy *different* cache entries and can
 never be served to each other (``tests/test_fuse.py`` pins this).  The
-same mechanism keys ``--codegen`` (lowered and interpreted graphs never
-share an entry) and ``--batch`` (sources with and without the generated
-batch binder are distinct entries, even though the pass is a graph no-op
-when codegen is off).
+same mechanism keys ``--donate``.  ``--batch`` is a runtime setting that
+leaves the graph unchanged, so it is not part of the key: batched and
+unbatched runs share one entry.
 
 ``$DELIRIUM_CACHE_MAX`` (an entry count) bounds the cache with LRU
 eviction: every hit refreshes the entry's mtime, and a store that pushes

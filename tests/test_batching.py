@@ -18,8 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import compile_source
-from repro.compiler.passes import batch as batch_pass
-from repro.compiler.passes.pipeline import PASS_ORDER
+from repro.compiler.passes.pipeline import FULL_PASS_ORDER, PASS_ORDER
 from repro.errors import DeliriumError, RuntimeFailure
 from repro.machine.calibrate import suggest_batch_threshold
 from repro.obs import EventBus, EventLog, FireBatchFormed, attach_metrics
@@ -33,7 +32,6 @@ from repro.runtime import (
     default_registry,
 )
 from repro.runtime.operators import (
-    BATCH_BINDER_NAME,
     OperatorRegistry,
     OperatorSpec,
     batch_call,
@@ -42,10 +40,7 @@ from repro.runtime.supervise import DEFAULT_BATCH_THRESHOLD
 
 from repro.apps.montecarlo.coordination import compile_pi
 
-GRAPH_PASSES = ("fuse", "donate", "codegen", "batch")
-
-
-def _compiled_pi(passes=PASS_ORDER + GRAPH_PASSES, batch_size=1500, seed=11):
+def _compiled_pi(passes=FULL_PASS_ORDER, batch_size=1500, seed=11):
     return compile_pi(seed=seed, batch_size=batch_size, optimize_passes=passes)
 
 
@@ -198,71 +193,6 @@ class TestSuggestBatchThreshold:
 
 
 # ---------------------------------------------------------------------------
-# The compiler pass
-# ---------------------------------------------------------------------------
-class TestBatchPass:
-    def _chain(self, passes):
-        reg = default_registry()
-
-        @reg.register(pure=True)
-        def add1(x):
-            return x + 1
-
-        compiled = compile_source(
-            "main(n) add1(add1(add1(n)))",
-            registry=reg,
-            optimize_passes=passes,
-        )
-        return compiled, reg
-
-    def test_appends_binder_to_codegen_sources(self):
-        compiled, _ = self._chain(PASS_ORDER + GRAPH_PASSES)
-        sources = [
-            node.codegen
-            for t in compiled.graph.templates.values()
-            for node in t.nodes
-            if node.codegen is not None
-        ]
-        assert sources
-        assert all(BATCH_BINDER_NAME in src for src in sources)
-
-    def test_noop_without_codegen(self):
-        compiled, _ = self._chain(PASS_ORDER + ("fuse", "donate", "batch"))
-        assert all(
-            node.codegen is None
-            for t in compiled.graph.templates.values()
-            for node in t.nodes
-        )
-
-    def test_idempotent(self):
-        compiled, reg = self._chain(PASS_ORDER + GRAPH_PASSES)
-        before = {
-            node.name: node.codegen
-            for t in compiled.graph.templates.values()
-            for node in t.nodes
-            if node.codegen is not None
-        }
-        assert batch_pass.run(compiled.graph, reg) == {}
-        after = {
-            node.name: node.codegen
-            for t in compiled.graph.templates.values()
-            for node in t.nodes
-            if node.codegen is not None
-        }
-        assert before == after
-
-    def test_batched_run_of_lowered_chain_matches(self):
-        compiled, reg = self._chain(PASS_ORDER + GRAPH_PASSES)
-        plain = SequentialExecutor().run(
-            compiled.graph, args=(5,), registry=reg
-        )
-        batched = SequentialExecutor(batch=True).run(
-            compiled.graph, args=(5,), registry=reg
-        )
-        assert batched.value == plain.value == 8
-
-
-# ---------------------------------------------------------------------------
 # Executor parity (the tentpole's correctness claim)
 # ---------------------------------------------------------------------------
 class TestBatchedParity:
@@ -275,6 +205,33 @@ class TestBatchedParity:
         assert got.value == ref.value
         assert got.stats.fire_batches > 0
         assert got.stats.batched_fires > 1
+
+    def test_sequential_fused_chain(self):
+        # A multi-step chain has no vectorized form, so batch_call loops
+        # the interpreted replay; results match N scalar firings.
+        reg = default_registry()
+
+        @reg.register(pure=True)
+        def add1(x):
+            return x + 1
+
+        compiled = compile_source(
+            "main(n) add1(add1(add1(n)))",
+            registry=reg,
+            optimize_passes=FULL_PASS_ORDER,
+        )
+        assert any(
+            node.fused is not None and len(node.fused[0]) > 1
+            for t in compiled.graph.templates.values()
+            for node in t.nodes
+        )
+        plain = SequentialExecutor().run(
+            compiled.graph, args=(5,), registry=reg
+        )
+        batched = SequentialExecutor(batch=True).run(
+            compiled.graph, args=(5,), registry=reg
+        )
+        assert batched.value == plain.value == 8
 
     def test_threaded(self):
         compiled = _compiled_pi()
@@ -310,7 +267,7 @@ class TestBatchedParity:
         compiled = compile_option(
             seed=5,
             batch_size=800,
-            optimize_passes=PASS_ORDER + GRAPH_PASSES,
+            optimize_passes=FULL_PASS_ORDER,
         )
         ref = SequentialExecutor().run(
             compiled.graph, args=(12,), registry=compiled.registry
@@ -444,7 +401,7 @@ class TestMidBatchCrashSalvage:
             SALVAGE_SRC,
             registry=reg,
             prelude=True,
-            optimize_passes=PASS_ORDER + GRAPH_PASSES,
+            optimize_passes=FULL_PASS_ORDER,
         )
         ref = SequentialExecutor().run(
             compiled.graph, args=(8,), registry=reg
@@ -502,28 +459,25 @@ class TestBatchProperty:
         executor=st.sampled_from(["sequential", "threaded"]),
         workers=st.integers(1, 3),
         fuse=st.booleans(),
-        codegen=st.booleans(),
         threshold=st.integers(2, 40),
         n=st.integers(2, 12),
         seed=st.integers(0, 99),
     )
     def test_batched_equals_unbatched(
-        self, executor, workers, fuse, codegen, threshold, n, seed
+        self, executor, workers, fuse, threshold, n, seed
     ):
         passes = PASS_ORDER
         if fuse:
             passes = passes + ("fuse", "donate")
-        if codegen:
-            passes = passes + ("codegen", "batch")
         compiled = compile_pi(
             seed=seed, batch_size=64, optimize_passes=passes
         )
         if executor == "sequential":
-            make = lambda batch: SequentialExecutor(
+            make = lambda batch: SequentialExecutor(  # noqa: E731
                 batch=batch, batch_threshold=threshold
             )
         else:
-            make = lambda batch: ThreadedExecutor(
+            make = lambda batch: ThreadedExecutor(  # noqa: E731
                 workers, batch=batch, batch_threshold=threshold
             )
         plain = make(False).run(
@@ -544,7 +498,6 @@ class TestBatchProperty:
         passes = PASS_ORDER + ("fuse",)
         if donate:
             passes = passes + ("donate",)
-        passes = passes + ("codegen", "batch")
         compiled = compile_pi(
             seed=seed, batch_size=64, optimize_passes=passes
         )

@@ -11,8 +11,12 @@ observable effect, so frontier + carry + offsets is a consistent cut.
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
+import signal
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -612,3 +616,49 @@ class TestCheckpointProperty:
         assert again.items == first.items
         assert again.fires == first.fires  # nothing replayed
         assert open(out, "rb").read() == bytes_before
+
+
+class TestCliResumeAcrossBatch:
+    """``--batch`` changes how firings are grouped, never the graph or
+    the output, so like executor choice it is outside the checkpoint's
+    flag-set identity: a run killed under ``--batch`` resumes under
+    ``--no-batch``."""
+
+    @staticmethod
+    def _cli(tmp_path, *args):
+        env = {**os.environ, "DELIRIUM_CACHE_DIR": str(tmp_path / "cache")}
+        return subprocess.run(
+            [sys.executable, "-m", "repro.tools.cli", "run",
+             str(tmp_path / "sum.dlm"), "--stream", "count:40", "--carry",
+             "--initial", "0", *args],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+
+    def test_batch_checkpoint_resumes_without_batch(self, tmp_path):
+        (tmp_path / "sum.dlm").write_text(SUM_SRC, encoding="utf-8")
+        ref, out, ckpt = (
+            str(tmp_path / name) for name in ("ref.jsonl", "out.jsonl", "run.ckpt")
+        )
+        done = self._cli(tmp_path, "--sink", ref)
+        assert done.returncode == 0, done.stderr
+
+        crash = self._cli(
+            tmp_path, "--sink", out, "--checkpoint", ckpt,
+            "--checkpoint-every", "8",
+            "--inject-faults", "masterkill:nth=10", "--batch",
+        )
+        assert crash.returncode in (-signal.SIGKILL, 137), crash.stderr
+        reference = open(ref, "rb").read()
+        assert open(out, "rb").read() != reference
+
+        resumed = self._cli(
+            tmp_path, "--sink", out, "--checkpoint", ckpt,
+            "--resume", ckpt, "--no-batch",
+        )
+        assert resumed.returncode == 0, resumed.stderr
+        summary = json.loads(resumed.stderr.splitlines()[0].lstrip("# "))
+        assert summary["resumed_from"] == ckpt
+        assert open(out, "rb").read() == reference

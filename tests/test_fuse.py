@@ -10,6 +10,11 @@ and bit-identical execution across every executor.
 
 from __future__ import annotations
 
+import json
+import sys
+import types
+
+import numpy as np
 import pytest
 
 from repro import compile_source
@@ -19,7 +24,6 @@ from repro.compiler.passes.pipeline import (
     PASS_ORDER,
     split_passes,
 )
-from repro.graph.ir import NodeKind
 from repro.graph.serialize import dumps, loads
 from repro.machine import SimulatedExecutor, uniform
 from repro.obs import EventBus, EventLog, OperatorsFused, OpStarted, attach_metrics
@@ -79,6 +83,38 @@ def _fused_nodes(graph):
 
 def _compile(source, passes=FUSED_PASSES):
     return compile_source(source, registry=REGISTRY, optimize_passes=passes)
+
+
+def _multi_step(graph):
+    """The fused nodes whose recipe replays more than one member."""
+    nodes = [n for _, _, n in _fused_nodes(graph) if len(n.fused[0]) > 1]
+    assert nodes, "program must fuse into a multi-step chain"
+    return nodes
+
+
+def _heavy_chain():
+    """A two-step chain (churn>scale2) with ~1 ms of real array math.
+
+    Cost hints stay under the fusion threshold so the chain fuses; the
+    wall cost of ``churn`` is what body measurements must see.
+    """
+    reg = default_registry()
+
+    @reg.register(name="churn", pure=True, cost=50.0)
+    def churn(n):
+        return float(np.sqrt(np.arange(120_000, dtype=np.float64)).sum())
+
+    @reg.register(name="scale2", pure=True, cost=10.0)
+    def scale2(x):
+        return x * 2.0
+
+    compiled = compile_source(
+        "main(n) scale2(churn(n))",
+        registry=reg,
+        optimize_passes=FULL_PASS_ORDER,
+    )
+    _multi_step(compiled.graph)
+    return compiled, reg
 
 
 class TestEligibility:
@@ -162,17 +198,10 @@ class TestEligibility:
 
 class TestPipelineOrdering:
     def test_fuse_is_graph_level(self):
-        assert GRAPH_PASS_ORDER == ("fuse", "donate", "codegen", "batch")
+        assert GRAPH_PASS_ORDER == ("fuse", "donate")
         assert "fuse" not in PASS_ORDER
         assert "donate" not in PASS_ORDER
-        assert "codegen" not in PASS_ORDER
-        assert "batch" not in PASS_ORDER
-        assert FULL_PASS_ORDER == PASS_ORDER + (
-            "fuse",
-            "donate",
-            "codegen",
-            "batch",
-        )
+        assert FULL_PASS_ORDER == PASS_ORDER + ("fuse", "donate")
 
     def test_split_passes_partitions(self):
         ast_passes, graph_passes = split_passes(
@@ -208,6 +237,45 @@ class TestSerialization:
         fused = _compile(src)
         restored = loads(dumps(fused.graph))
         assert _fused_nodes(restored)[0][2].fused[1] == 2
+
+    def test_planted_source_in_old_dump_is_never_executed(self, monkeypatch):
+        # Older dumps could carry generated Python source beside a fused
+        # recipe.  A loaded graph is data only: the recipe runs, the text
+        # is ignored, so its side effect must never happen.
+        flag = types.ModuleType("_planted_source_flag")
+        flag.ran = False
+        monkeypatch.setitem(sys.modules, flag.__name__, flag)
+        planted = (
+            "import _planted_source_flag\n"
+            "_planted_source_flag.ran = True\n"
+            "def _delirium_bind(_f0, _f1):\n"
+            "    return lambda a0: _f1(_f0(a0))\n"
+        )
+        fused = _compile(CHAIN_SOURCE)
+        data = json.loads(dumps(fused.graph))
+        planted_nodes = 0
+        for template in data["templates"].values():
+            for node in template["nodes"]:
+                if "fused" in node:
+                    node["codegen"] = planted
+                    planted_nodes += 1
+        assert planted_nodes == 1
+        restored = loads(json.dumps(data))
+        assert dumps(restored) == dumps(fused.graph)
+        for n in (-3, 0, 7):
+            got = SequentialExecutor().run(
+                restored, args=(n,), registry=REGISTRY
+            ).value
+            want = SequentialExecutor().run(
+                fused.graph, args=(n,), registry=REGISTRY
+            ).value
+            assert got == want
+        assert ProcessExecutor(2, cost_threshold=0.0).run(
+            restored, args=(4,), registry=REGISTRY
+        ).value == SequentialExecutor().run(
+            fused.graph, args=(4,), registry=REGISTRY
+        ).value
+        assert flag.ran is False
 
     def test_unfused_dump_is_bit_identical_to_pre_fusion_format(self):
         # --no-fuse must reproduce today's graphs bit-for-bit: an unfused
@@ -302,6 +370,81 @@ class TestExecution:
             fused.graph, args=(4,), registry=REGISTRY
         )
         assert got.value == ref.value
+
+
+class TestInterpretedChain:
+    """A multi-step chain runs as one firing through the recipe replay
+    (``compose_fused``), bound against the registry of the run."""
+
+    def test_plan_cache_reuse_across_runs(self):
+        # Same program object run twice on fresh executors: the second
+        # run serves its op plans from the module-level cache and must
+        # be value-identical.
+        compiled = compile_source(
+            "main(n) add(incr(incr(n)), 1)", optimize_passes=FULL_PASS_ORDER
+        )
+        _multi_step(compiled.graph)
+        first = SequentialExecutor().run(compiled.graph, args=(5,)).value
+        second = SequentialExecutor().run(compiled.graph, args=(5,)).value
+        assert first == second == 8
+
+    def test_profile_ops_measures_bodies(self):
+        compiled, reg = _heavy_chain()
+        result = SequentialExecutor(profile_ops=True).run(
+            compiled.graph, args=(3,), registry=reg
+        )
+        assert result.stats.fused_fires == 1
+        assert 0.0 < result.stats.op_body_seconds <= result.wall_seconds
+
+    def test_binding_uses_calling_registry(self):
+        def registry(scale):
+            reg = default_registry()
+
+            @reg.register(name="shadow", pure=True, cost=1.0)
+            def shadow(x):
+                return x * scale
+
+            return reg
+
+        compiled = compile_source(
+            "main(n) incr(shadow(n))",
+            registry=registry(100),
+            optimize_passes=FULL_PASS_ORDER,
+        )
+        _multi_step(compiled.graph)
+        assert SequentialExecutor().run(
+            compiled.graph, args=(2,), registry=compiled.registry
+        ).value == 201
+        # A substituted registry wins over the one present at compile
+        # time, here and in workers that recompose the shipped recipe.
+        other = registry(1000)
+        assert SequentialExecutor().run(
+            compiled.graph, args=(2,), registry=other
+        ).value == 2001
+        assert ProcessExecutor(2, cost_threshold=0.0).run(
+            compiled.graph, args=(2,), registry=other
+        ).value == 2001
+
+    def test_fused_frames_attribute_to_operator_body(self):
+        # OpStarted/OpFinished bracket the whole replay, so the chain's
+        # array math lands in operator_body, not engine overhead, and
+        # the attribution reconciles with the wall clock.
+        from repro.obs import RunContext
+        from repro.obs.critpath import RECONCILIATION_TOLERANCE
+
+        compiled, reg = _heavy_chain()
+        ctx = RunContext(record_events=True, flight_recorder=False)
+        executor = SequentialExecutor()
+        executor.run_ctx = ctx
+        result = executor.run(compiled.graph, args=(3,), registry=reg)
+        report = ctx.critical_path(result.wall_seconds)
+        attribution = report.attribution
+        assert report.reconciliation_error <= RECONCILIATION_TOLERANCE
+        assert attribution["operator_body"] > 0.0
+        assert (
+            attribution["operator_body"]
+            > 5 * attribution["engine_overhead"]
+        )
 
 
 class TestObservability:
