@@ -15,9 +15,12 @@ the compiled graphs.  Three renderers:
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from .ir import GraphProgram, NodeKind, Template
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def _node_title(template: Template, node_id: int) -> str:
@@ -44,7 +47,11 @@ def to_networkx(program: GraphProgram) -> "nx.DiGraph":
     ``kind="data"``; template references (closure/if) carry
     ``kind="expands"`` edges from the referencing node to the target
     template's result node, capturing the dynamic-expansion topology.
+    networkx is imported here, not at module level, so that
+    ``import repro`` does not pay for loading it.
     """
+    import networkx as nx
+
     g = nx.DiGraph()
     for template in program.templates.values():
         for node_id, node in enumerate(template.nodes):

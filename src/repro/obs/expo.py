@@ -30,10 +30,12 @@ from __future__ import annotations
 import json
 import re
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from .metrics import MetricsRegistry
+
+if TYPE_CHECKING:
+    from http.server import ThreadingHTTPServer
 
 #: Prefix for every exported family.
 NAMESPACE = "delirium"
@@ -231,6 +233,10 @@ class MetricsServer:
     def start(self) -> "MetricsServer":
         if self._httpd is not None:
             return self
+        # Imported on first start: http.server pulls in email, html and
+        # socketserver, which ``import repro`` should not pay for.
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         server = self
 
         class Handler(BaseHTTPRequestHandler):

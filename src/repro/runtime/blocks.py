@@ -24,7 +24,9 @@ structures are not captured and mutated simultaneously.
 
 Blocks also carry a *home* processor and a byte-size estimate: the machine
 simulator charges NUMA remote-access penalties and accounts bus traffic
-from them (sections 7 and 9.3).
+from them (sections 7 and 9.3).  The size is computed on its first read:
+sizing a nested payload walks all of it, and most blocks of a sequential
+run are never asked their size.
 """
 
 from __future__ import annotations
@@ -64,7 +66,8 @@ def get_block_hook():
 def payload_nbytes(payload: Any) -> int:
     """Estimated size in bytes of an operator payload.
 
-    NumPy arrays report exactly; containers sum their items shallowly;
+    NumPy arrays report exactly; lists, tuples, sets and dict values are
+    summed recursively, each container adding its own ``sys.getsizeof``;
     everything else falls back to ``sys.getsizeof``.  The estimate feeds
     the simulated machines' traffic accounting, where only relative
     magnitudes matter.
@@ -98,6 +101,10 @@ def copy_payload(payload: Any) -> Any:
     return copy.deepcopy(payload)
 
 
+#: ``DataBlock._nbytes`` while the block is not yet sized.
+_UNSIZED = -1
+
+
 class DataBlock:
     """A shared memory block: payload + reference count + placement.
 
@@ -111,7 +118,10 @@ class DataBlock:
         Processor id that produced the payload (simulated machines), or
         ``-1`` when unplaced.
     nbytes:
-        Cached size estimate.
+        Size estimate (:func:`payload_nbytes` of the payload), computed on
+        first read and cached.  An in-place write must reset it with
+        :meth:`forget_size` (see ``ExecutionState._begin_operator``), or
+        the block keeps reporting its pre-write size.
     bid:
         Master-assigned block id for worker-cache residency tracking
         (process executor with an affinity policy), or ``None`` while the
@@ -123,7 +133,7 @@ class DataBlock:
     block death without extending any lifetime.
     """
 
-    __slots__ = ("payload", "rc", "home", "nbytes", "bid", "__weakref__")
+    __slots__ = ("payload", "rc", "home", "_nbytes", "bid", "__weakref__")
 
     _COUNTER = 0
 
@@ -131,10 +141,22 @@ class DataBlock:
         self.payload = payload
         self.rc = 0
         self.home = home
-        self.nbytes = payload_nbytes(payload)
+        self._nbytes = _UNSIZED
         self.bid: int | None = None
         if _BLOCK_HOOK is not None:
             _BLOCK_HOOK("alloc", self, 1)
+
+    @property
+    def nbytes(self) -> int:
+        """Size estimate of the payload, computed once on first read."""
+        n = self._nbytes
+        if n < 0:
+            n = self._nbytes = payload_nbytes(self.payload)
+        return n
+
+    def forget_size(self) -> None:
+        """Drop the cached size after the payload was written in place."""
+        self._nbytes = _UNSIZED
 
     def unique(self) -> bool:
         """True when this block holds the sole reference (writable)."""

@@ -638,6 +638,9 @@ class ExecutionState:
                                             bus.now(), spec.name, v.nbytes
                                         )
                                     )
+                            # After the last read of the pre-write size:
+                            # the body is about to change the payload.
+                            v.forget_size()
                             args.append(v.payload)
                             arg_blocks.append(v)
                         else:
@@ -1272,6 +1275,10 @@ class ExecutionState:
                                         bus.now(), spec.name, v.nbytes
                                     )
                                 )
+                        if not remote:
+                            # The local body writes the payload in place:
+                            # its cached size goes stale, like its bid.
+                            v.forget_size()
                         args.append(v.payload)
                         arg_blocks.append(v)
                     else:

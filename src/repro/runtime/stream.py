@@ -45,6 +45,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import operator
 import os
 import time
 from dataclasses import dataclass
@@ -741,9 +742,18 @@ class StreamRunner:
         return None
 
 
+#: The numeric counters of :class:`EngineStats` (the dict-valued fields
+#: are per-run breakdowns, not summed), fixed once at import.
+_NUMERIC_STATS = tuple(
+    f.name
+    for f in dataclasses.fields(EngineStats)
+    if isinstance(f.default, (int, float))
+)
+_numeric_values = operator.attrgetter(*_NUMERIC_STATS)
+
+
 def _accumulate(into: dict[str, float], stats: EngineStats) -> None:
     """Sum one run's numeric counters into the stream-wide totals."""
-    for f in dataclasses.fields(stats):
-        value = getattr(stats, f.name)
-        if isinstance(value, (int, float)):
-            into[f.name] = into.get(f.name, 0) + value
+    get = into.get
+    for name, value in zip(_NUMERIC_STATS, _numeric_values(stats)):
+        into[name] = get(name, 0) + value

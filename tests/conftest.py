@@ -6,6 +6,7 @@ import pytest
 
 from repro import compile_source, default_registry
 from repro.runtime import OperatorRegistry
+from repro.runtime import blocks as _blocks
 
 
 #: The paper's fork-join example (section 2.1), verbatim modulo operators.
@@ -65,6 +66,20 @@ def fork_join_registry() -> OperatorRegistry:
         return a + b + c + d
 
     return reg
+
+
+@pytest.fixture
+def sizing_calls(monkeypatch):
+    """Payloads passed to the block sizer, recursive calls included."""
+    calls = []
+    real = _blocks.payload_nbytes
+
+    def counting(payload):
+        calls.append(payload)
+        return real(payload)
+
+    monkeypatch.setattr(_blocks, "payload_nbytes", counting)
+    return calls
 
 
 @pytest.fixture

@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 
+from repro import compile_source
+from repro.runtime import SequentialExecutor, default_registry
 from repro.runtime.blocks import (
     BufferPool,
     DataBlock,
     copy_payload,
+    get_block_hook,
     payload_nbytes,
     release,
     retain,
+    set_block_hook,
     unwrap,
     value_nbytes,
     wrap_payload,
@@ -218,3 +222,93 @@ class TestSizes:
         clone = copy_payload(thing)
         clone.data.append(2)
         assert thing.data == [1]
+
+
+class TestLazySize:
+    def test_construction_does_not_size(self, sizing_calls):
+        DataBlock([1, [2, 3]])
+        assert sizing_calls == []
+
+    def test_sized_at_most_once_across_reads(self, sizing_calls):
+        block = DataBlock([1, [2, 3]])
+        first = block.nbytes
+        one_sizing = len(sizing_calls)  # the sizer recurses into items
+        assert one_sizing > 0
+        assert {block.nbytes for _ in range(5)} == {first}
+        assert len(sizing_calls) == one_sizing
+        assert first == payload_nbytes([1, [2, 3]])
+
+    def test_forget_size_resizes_on_next_read(self):
+        block = DataBlock([])
+        before = block.nbytes
+        block.payload.extend(range(100))
+        assert block.nbytes == before  # cached until told otherwise
+        block.forget_size()
+        assert block.nbytes == payload_nbytes(block.payload) > before
+
+    @staticmethod
+    def _cow_registry():
+        reg = default_registry()
+
+        @reg.register(name="make_list")
+        def make_list():
+            return [0] * 10
+
+        @reg.register(name="grow", modifies=(0,))
+        def grow(lst, n):
+            lst.extend(range(n))
+            return lst
+
+        @reg.register(name="length", pure=True)
+        def length(lst):
+            return len(lst)
+
+        return reg
+
+    @pytest.mark.parametrize("check_purity", [False, True])
+    def test_in_place_write_resets_read_size(self, check_purity):
+        # ``grow`` appends in place and returns its input, so the engine
+        # keeps the block; a size read before the write must not survive.
+        # check_purity=True sends the fire through the generic
+        # begin/complete path instead of the single-pass inline one.
+        reg = self._cow_registry()
+        compiled = compile_source("main() grow(make_list(), 200)", registry=reg)
+        seen: list[DataBlock] = []
+
+        def hook(kind, block, n):
+            if kind == "alloc":
+                seen.append(block)
+            block.nbytes  # read the size at every count change
+
+        previous = get_block_hook()
+        set_block_hook(hook)
+        try:
+            result = SequentialExecutor(check_purity=check_purity).run(
+                compiled.graph, registry=reg
+            )
+        finally:
+            set_block_hook(previous)
+        assert result.stats.in_place_writes == 1
+        assert len(result.value) == 210
+        grown = [b for b in seen if b.payload is result.value]
+        assert len(grown) == 1
+        for block in seen:
+            assert block.nbytes == payload_nbytes(block.payload)
+
+    def test_cow_copy_bytes_equal_payload_size(self):
+        src = """
+        main()
+          let base = make_list()
+              x = grow(base, 5)
+              y = grow(base, 7)
+          in <length(x), length(y), length(base)>
+        """
+        reg = self._cow_registry()
+        compiled = compile_source(src, registry=reg)
+        result = SequentialExecutor().run(compiled.graph, registry=reg)
+        assert result.value == (15, 17, 10)
+        stats = result.stats
+        assert stats.cow_copies >= 1
+        assert stats.copy_bytes_by_operator["grow"] == (
+            stats.cow_copies * payload_nbytes([0] * 10)
+        )

@@ -1,7 +1,12 @@
 """Coordination-graph IR, validation, and visualization."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro import compile_source
 from repro.errors import GraphError
 from repro.graph.ir import GraphProgram, Node, NodeKind, Port, Template
@@ -175,3 +180,19 @@ class TestViz:
         g = to_networkx(compiled.graph)
         kinds = {d["kind"] for _, _, d in g.edges(data=True)}
         assert "expands" in kinds
+
+    def test_import_repro_does_not_load_networkx(self):
+        # Only to_networkx needs networkx; importing the package must not
+        # pay its import time and memory.
+        src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+        env = {**os.environ, "PYTHONPATH": src_dir}
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro; print('networkx' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"

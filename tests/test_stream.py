@@ -295,6 +295,23 @@ class TestLogAnalyticsStream:
         records = [row["records"] for row in sink.items]
         assert records == sorted(records)
 
+    def test_checkpointed_stream_never_sizes_a_block(
+        self, tmp_path, sizing_calls
+    ):
+        # Nothing on the sequential stream path reads a block's size, so
+        # lazy sizing must leave the recursive sizer uncalled.
+        from repro.apps.loganalytics import sequential_stats, stream_logs
+
+        result = stream_logs(
+            20,
+            seed=5,
+            checkpoint_path=str(tmp_path / "log.ckpt"),
+            checkpoint_every=30,
+        )
+        assert result.value == sequential_stats(5, 20, 64)
+        assert result.checkpoints_written >= 3
+        assert sizing_calls == []
+
     def test_cli_module_runs(self, tmp_path, capsys):
         from repro.apps.loganalytics.__main__ import main
 
